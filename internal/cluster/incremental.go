@@ -158,8 +158,9 @@ func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time
 		fb.hist = bc.histogram(cfg.Window)
 		fb.partition = clk() - t0
 		t1 := clk()
+		bld := suffix.NewBuilder(set)
 		for _, b := range touched {
-			tr, err := suffix.Build(set, b, bc.byBucket[b], cfg.Window)
+			tr, err := bld.Build(b, bc.byBucket[b], cfg.Window)
 			if errors.Is(err, suffix.ErrEmptyBucket) {
 				continue
 			}

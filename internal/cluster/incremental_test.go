@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,6 +218,13 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	c2.InitialLabels = r1.Labels
 	if _, err := RunSet(set, c2); err != nil {
 		t.Fatal(err)
+	}
+	// Truncate binary-searches the lists, so rebuilding their subtrees must
+	// leave them in ascending string order.
+	for bkt, refs := range cache.byBucket {
+		if !slices.IsSortedFunc(refs, func(a, b suffix.SuffixRef) int { return cmp.Compare(a.SID, b.SID) }) {
+			t.Fatalf("bucket %d: cached suffix list out of string order after a rebuild", bkt)
+		}
 	}
 	cache.Truncate(seq.Forward(seq.ESTID(cut)))
 	if err := set.Truncate(cut); err != nil {

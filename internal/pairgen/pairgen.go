@@ -2,16 +2,17 @@
 // promising pairs from a forest of local GST subtrees, in decreasing order of
 // maximal common substring length.
 //
-// Every node of string-depth >= ψ is processed in decreasing string-depth
-// order. Each node carries five lsets — the strings owning a suffix in the
-// node's subtree, partitioned by the suffix's left-extension character
-// (A, C, G, T, or λ) — implemented as linked lists with O(1) concatenation so
-// total lset storage stays linear in the input (paper's O(N) bound). At an
-// internal node, duplicate string occurrences across children are removed
-// with a global mark array, cartesian products across (child, character)
-// groups emit the pairs whose maximal common substring is the node's path
-// label (Lemma 1), and the surviving entries are concatenated into the
-// node's own lsets.
+// Every internal node of string-depth >= ψ is processed in decreasing
+// string-depth order. Each such node owns five lsets — the strings owning a
+// suffix in the node's subtree, partitioned by the suffix's left-extension
+// character (A, C, G, T, or λ) — implemented as linked lists with O(1)
+// concatenation so total lset storage stays linear in the input (paper's
+// O(N) bound). A leaf owns no lset: its one suffix is read straight from the
+// tree's DFS array when its parent is processed. At an internal node,
+// duplicate string occurrences across children are removed with a global
+// mark array, cartesian products across (child, character) groups emit the
+// pairs whose maximal common substring is the node's path label (Lemma 1),
+// and the surviving entries are concatenated into the node's own lsets.
 //
 // The generator is resumable: it remembers its position inside a node's
 // cartesian products, so callers pull pairs in batches without ever
@@ -45,6 +46,8 @@ func (p Pair) ESTs() (seq.ESTID, seq.ESTID) { return p.S1.EST(), p.S2.EST() }
 // Stats counts generator activity.
 type Stats struct {
 	// NodesProcessed is the number of tree nodes of depth >= ψ processed.
+	// Deep leaves need no work of their own and are counted when the
+	// generator is built; deep internal nodes as Next reaches them.
 	NodesProcessed int64
 	// Generated counts canonical pairs emitted.
 	Generated int64
@@ -61,12 +64,13 @@ type Stats struct {
 	// generated — and judged — in the generation that introduced the younger
 	// of the two.
 	DiscardedStale int64
-	// Entries is the total number of lset entries allocated — the
-	// generator's O(N) working set.
+	// Entries is the number of lset entries in the paper's accounting, one
+	// per deep leaf — the generator's O(N) working set. Only leaves merged
+	// into a deep parent take pool space.
 	Entries int64
 }
 
-// list is a singly linked lset; head/tail index a tree-local entry pool.
+// list is a singly linked lset; head/tail index the forest-wide entry pool.
 type list struct{ head, tail int32 }
 
 var emptyList = list{head: -1, tail: -1}
@@ -76,16 +80,6 @@ type entry struct {
 	sid  seq.StringID
 	pos  int32
 	next int32
-}
-
-// treeState is the per-tree lset storage.
-type treeState struct {
-	tree *suffix.Tree
-	// lsetIdx maps a node index to its row in lsets, or -1 for nodes of
-	// depth < ψ (which never own lsets).
-	lsetIdx []int32
-	lsets   [][seq.NumLeftChars]list
-	pool    []entry
 }
 
 // nodeRef addresses one node in the forest.
@@ -114,9 +108,19 @@ type item struct {
 
 // Generator produces promising pairs on demand.
 type Generator struct {
-	set   *seq.SetS
-	psi   int32
-	trees []*treeState
+	set    *seq.SetS
+	psi    int32
+	forest []*suffix.Tree
+	// base[t] is the forest-wide index of tree t's node 0 in rowOf.
+	base []int32
+	// rowOf maps a forest-wide node index to its row in rows. Only deep
+	// internal nodes own rows; the entries of leaves and of nodes shallower
+	// than ψ are never read.
+	rowOf []int32
+	rows  [][seq.NumLeftChars]list
+	// pool holds one entry per leaf merged into a deep parent, sized exactly
+	// for the leaves that have one.
+	pool []entry
 	// freshID is the fresh-only threshold: pairs whose strings both have an
 	// id below it are suppressed (0 emits everything). Generations are
 	// monotone in string id, so freshness is a single comparison.
@@ -185,82 +189,93 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 		return nil, fmt.Errorf("pairgen: psi must be >= 1, got %d", psi)
 	}
 	g := &Generator{
-		set:  set,
-		psi:  int32(psi),
-		mark: make([]int32, set.NumStrings()),
+		set:    set,
+		psi:    int32(psi),
+		forest: forest,
+		base:   make([]int32, len(forest)),
+		mark:   make([]int32, set.NumStrings()),
 	}
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
-	for _, t := range forest {
-		ts := &treeState{tree: t, lsetIdx: make([]int32, t.Len())}
-		deep := int32(0)
-		for i, n := range t.Nodes {
-			if n.Depth >= g.psi {
-				ts.lsetIdx[i] = deep
-				deep++
-			} else {
-				ts.lsetIdx[i] = -1
-			}
-		}
-		ts.lsets = make([][seq.NumLeftChars]list, deep)
-		for i := range ts.lsets {
-			for c := range ts.lsets[i] {
-				ts.lsets[i][c] = emptyList
-			}
-		}
-		g.trees = append(g.trees, ts)
+	total := 0
+	for ti, t := range forest {
+		g.base[ti] = int32(total)
+		total += t.Len()
 	}
-	g.buildOrder()
+	g.rowOf = make([]int32, total)
+
+	// Setup sweep: number the deep internal nodes, count the deep leaves
+	// (Stats counts each as a processed node with one lset entry) and size
+	// the pool. A deep leaf takes pool space when it is merged into its
+	// parent, so only leaves with a deep parent need it; in preorder those
+	// are exactly the leaves inside the subtree of an earlier deep internal
+	// node.
+	var rows, leaves, entries int32
+	counts := make([]int32, 0, 1024) // deep internal nodes per string-depth
+	for ti, t := range forest {
+		rowOf := g.rowOf[g.base[ti]:]
+		cover := int32(-1)
+		for i, n := range t.Nodes {
+			if n.Depth < g.psi {
+				continue
+			}
+			if n.RML == int32(i) {
+				leaves++
+				if int32(i) <= cover {
+					entries++
+				}
+				continue
+			}
+			rowOf[i] = rows
+			rows++
+			cover = max(cover, n.RML)
+			for int(n.Depth) >= len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[n.Depth]++
+		}
+	}
+	g.stats.NodesProcessed = int64(leaves)
+	g.stats.Entries = int64(leaves)
+	g.rows = make([][seq.NumLeftChars]list, rows)
+	for i := range g.rows {
+		for c := range g.rows[i] {
+			g.rows[i][c] = emptyList
+		}
+	}
+	g.pool = make([]entry, 0, entries)
+	g.buildOrder(counts, int(rows))
 	return g, nil
 }
 
-// buildOrder sorts the deep nodes of the forest by decreasing string-depth,
-// breaking ties by descending node index so that children (which follow
-// their parent in preorder and are at least as deep) are always processed
-// before their parent. The sort is the O(sorting) term of the paper's
-// Lemma 4; a two-pass counting sort keeps it linear.
-func (g *Generator) buildOrder() {
-	maxDepth := int32(0)
-	total := 0
-	for _, ts := range g.trees {
-		for _, n := range ts.tree.Nodes {
-			if n.Depth >= g.psi {
-				total++
-				if n.Depth > maxDepth {
-					maxDepth = n.Depth
-				}
-			}
-		}
-	}
+// buildOrder sorts the deep internal nodes of the forest by decreasing
+// string-depth, breaking ties by descending tree and node index so that
+// children (which follow their parent in preorder and are at least as deep)
+// are always processed before their parent. counts[d] is the number of deep
+// internal nodes at depth d. The sort is the O(sorting) term of the paper's
+// Lemma 4; a counting sort keeps it linear.
+func (g *Generator) buildOrder(counts []int32, total int) {
 	if total == 0 {
 		return
 	}
-	counts := make([]int32, maxDepth+2)
-	for _, ts := range g.trees {
-		for _, n := range ts.tree.Nodes {
-			if n.Depth >= g.psi {
-				counts[n.Depth]++
-			}
-		}
-	}
 	// Prefix-sum from the deepest down so larger depths come first.
-	start := make([]int32, maxDepth+2)
+	start := make([]int32, len(counts))
 	acc := int32(0)
-	for d := maxDepth; d >= g.psi; d-- {
+	for d := len(counts) - 1; d >= int(g.psi); d-- {
 		start[d] = acc
 		acc += counts[d]
 	}
 	g.order = make([]nodeRef, total)
 	// Walk node indices in reverse so, within a depth class, higher
 	// indices are placed first (children before parents).
-	for ti := len(g.trees) - 1; ti >= 0; ti-- {
-		nodes := g.trees[ti].tree.Nodes
+	for ti := len(g.forest) - 1; ti >= 0; ti-- {
+		nodes := g.forest[ti].Nodes
 		for i := len(nodes) - 1; i >= 0; i-- {
-			d := nodes[i].Depth
-			if d >= g.psi {
-				g.order[start[d]] = nodeRef{tree: int32(ti), node: int32(i)}
-				start[d]++
+			n := &nodes[i]
+			if n.Depth >= g.psi && n.RML != int32(i) {
+				g.order[start[n.Depth]] = nodeRef{tree: int32(ti), node: int32(i)}
+				start[n.Depth]++
 			}
 		}
 	}
@@ -302,86 +317,104 @@ func (g *Generator) Next(dst []Pair, max int) []Pair {
 	return dst
 }
 
-// processNode initializes a leaf's lsets or prepares an internal node's
-// dedup/snapshot/union and arms pair iteration.
+// processNode dedups the children of a deep internal node, snapshots the
+// surviving (child, left-character) groups, unions them into the node's own
+// lsets and arms pair iteration. A leaf child is read straight from the
+// tree's node array: its one suffix forms a one-item group and enters the
+// pool only if it survives dedup.
 func (g *Generator) processNode(ref nodeRef) {
-	ts := g.trees[ref.tree]
-	t := ts.tree
+	nodes := g.forest[ref.tree].Nodes
+	rowOf := g.rowOf[g.base[ref.tree]:]
 	g.stats.NodesProcessed++
-	if t.IsLeaf(ref.node) {
-		n := t.Nodes[ref.node]
-		c := g.set.LeftChar(n.SID, n.Pos)
-		e := int32(len(ts.pool))
-		ts.pool = append(ts.pool, entry{sid: n.SID, pos: n.Pos, next: -1})
-		g.stats.Entries++
-		ts.lsets[ts.lsetIdx[ref.node]][c] = list{head: e, tail: e}
-		return
-	}
 
-	// Dedup every child lset with a fresh token, snapshotting survivors.
+	// Dedup every child with a fresh token, snapshotting survivors, and
+	// concatenate the surviving lists onto this node's (O(|Σ|) per child).
 	g.token++
 	g.groups = g.groups[:0]
 	g.itemsBuf = g.itemsBuf[:0]
+	dst := &g.rows[rowOf[ref.node]]
+	last := nodes[ref.node].RML
 	childOrd := int32(0)
-	for c := t.FirstChild(ref.node); c != -1; c = t.NextSibling(c, ref.node) {
-		li := ts.lsetIdx[c]
-		for ch := seq.Code(0); ch < seq.NumLeftChars; ch++ {
-			l := &ts.lsets[li][ch]
-			prev := int32(-1)
-			cur := l.head
-			lo := int32(len(g.itemsBuf))
-			fresh := false
-			for cur != -1 {
-				e := &ts.pool[cur]
-				if g.mark[e.sid] == g.token {
-					// Duplicate occurrence: unlink.
-					if prev == -1 {
-						l.head = e.next
-					} else {
-						ts.pool[prev].next = e.next
-					}
-					if e.next == -1 {
-						l.tail = prev
-					}
-					cur = e.next
-					continue
-				}
-				g.mark[e.sid] = g.token
-				g.itemsBuf = append(g.itemsBuf, item{sid: e.sid, pos: e.pos})
-				fresh = fresh || e.sid >= g.freshID
-				prev = cur
-				cur = e.next
-			}
-			if hi := int32(len(g.itemsBuf)); hi > lo {
-				g.groups = append(g.groups, group{child: childOrd, char: ch, lo: lo, hi: hi, fresh: fresh})
-			}
+	for c := ref.node + 1; ; childOrd++ {
+		cn := &nodes[c]
+		if cn.RML == c {
+			g.leafChild(dst, childOrd, cn.SID, cn.Pos)
+		} else {
+			g.internalChild(dst, &g.rows[rowOf[c]], childOrd)
 		}
-		childOrd++
+		if cn.RML == last {
+			break
+		}
+		c = cn.RML + 1
 	}
 
-	// Union surviving child lsets into this node (O(|Σ|²) concatenations).
-	vi := ts.lsetIdx[ref.node]
-	for c := t.FirstChild(ref.node); c != -1; c = t.NextSibling(c, ref.node) {
-		li := ts.lsetIdx[c]
-		for ch := seq.Code(0); ch < seq.NumLeftChars; ch++ {
-			src := ts.lsets[li][ch]
-			ts.lsets[li][ch] = emptyList
-			if src.head == -1 {
-				continue
-			}
-			dst := &ts.lsets[vi][ch]
-			if dst.head == -1 {
-				*dst = src
-			} else {
-				ts.pool[dst.tail].next = src.head
-				dst.tail = src.tail
-			}
-		}
-	}
-
-	g.curDepth = t.Nodes[ref.node].Depth
+	g.curDepth = nodes[ref.node].Depth
 	g.gi, g.gj, g.ii, g.jj = 0, 1, 0, 0
 	g.active = len(g.groups) >= 2
+}
+
+// leafChild handles a leaf child of the node being processed: unless its
+// string is already marked, it forms the group (child, left char) of one
+// item and its entry is appended to dst's list for that character.
+func (g *Generator) leafChild(dst *[seq.NumLeftChars]list, child int32, sid seq.StringID, pos int32) {
+	if g.mark[sid] == g.token {
+		return
+	}
+	g.mark[sid] = g.token
+	ch := g.set.LeftChar(sid, pos)
+	lo := int32(len(g.itemsBuf))
+	g.itemsBuf = append(g.itemsBuf, item{sid: sid, pos: pos})
+	g.groups = append(g.groups, group{child: child, char: ch, lo: lo, hi: lo + 1, fresh: sid >= g.freshID})
+	e := int32(len(g.pool))
+	g.pool = append(g.pool, entry{sid: sid, pos: pos, next: -1})
+	g.concat(&dst[ch], list{head: e, tail: e})
+}
+
+// internalChild dedups each of an internal child's lsets in place,
+// snapshots the survivors as groups and appends the lists to dst's.
+func (g *Generator) internalChild(dst, src *[seq.NumLeftChars]list, child int32) {
+	for ch := seq.Code(0); ch < seq.NumLeftChars; ch++ {
+		l := &src[ch]
+		prev := int32(-1)
+		cur := l.head
+		lo := int32(len(g.itemsBuf))
+		fresh := false
+		for cur != -1 {
+			e := &g.pool[cur]
+			if g.mark[e.sid] == g.token {
+				// Duplicate occurrence: unlink.
+				if prev == -1 {
+					l.head = e.next
+				} else {
+					g.pool[prev].next = e.next
+				}
+				if e.next == -1 {
+					l.tail = prev
+				}
+				cur = e.next
+				continue
+			}
+			g.mark[e.sid] = g.token
+			g.itemsBuf = append(g.itemsBuf, item{sid: e.sid, pos: e.pos})
+			fresh = fresh || e.sid >= g.freshID
+			prev = cur
+			cur = e.next
+		}
+		if hi := int32(len(g.itemsBuf)); hi > lo {
+			g.groups = append(g.groups, group{child: child, char: ch, lo: lo, hi: hi, fresh: fresh})
+			g.concat(&dst[ch], *l)
+		}
+	}
+}
+
+// concat appends the non-empty list src to dst.
+func (g *Generator) concat(dst *list, src list) {
+	if dst.head == -1 {
+		*dst = src
+		return
+	}
+	g.pool[dst.tail].next = src.head
+	dst.tail = src.tail
 }
 
 // compatible reports whether two groups may produce pairs: different

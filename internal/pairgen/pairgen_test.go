@@ -190,19 +190,26 @@ func TestAnchorsAreMaximalCommonSubstrings(t *testing.T) {
 		t.Fatal("expected pairs")
 	}
 	for _, p := range pairs {
-		s1, s2 := set.Str(p.S1), set.Str(p.S2)
-		if p.MatchLen < psi {
-			t.Fatalf("pair below threshold: %+v", p)
-		}
-		if !s1[p.Pos1 : p.Pos1+p.MatchLen].Equal(s2[p.Pos2 : p.Pos2+p.MatchLen]) {
-			t.Fatalf("anchor is not a common substring: %+v", p)
-		}
-		leftMax := p.Pos1 == 0 || p.Pos2 == 0 || s1[p.Pos1-1] != s2[p.Pos2-1]
-		r1, r2 := p.Pos1+p.MatchLen, p.Pos2+p.MatchLen
-		rightMax := int(r1) == len(s1) || int(r2) == len(s2) || s1[r1] != s2[r2]
-		if !leftMax || !rightMax {
-			t.Fatalf("anchor not maximal (left=%v right=%v): %+v", leftMax, rightMax, p)
-		}
+		checkAnchor(t, set, psi, p)
+	}
+}
+
+// checkAnchor fails the test unless p's anchor is a maximal common substring
+// of its two strings, at least psi long.
+func checkAnchor(t testing.TB, set *seq.SetS, psi int32, p Pair) {
+	t.Helper()
+	s1, s2 := set.Str(p.S1), set.Str(p.S2)
+	if p.MatchLen < psi {
+		t.Fatalf("pair below threshold: %+v", p)
+	}
+	if !s1[p.Pos1 : p.Pos1+p.MatchLen].Equal(s2[p.Pos2 : p.Pos2+p.MatchLen]) {
+		t.Fatalf("anchor is not a common substring: %+v", p)
+	}
+	leftMax := p.Pos1 == 0 || p.Pos2 == 0 || s1[p.Pos1-1] != s2[p.Pos2-1]
+	r1, r2 := p.Pos1+p.MatchLen, p.Pos2+p.MatchLen
+	rightMax := int(r1) == len(s1) || int(r2) == len(s2) || s1[r1] != s2[r2]
+	if !leftMax || !rightMax {
+		t.Fatalf("anchor not maximal (left=%v right=%v): %+v", leftMax, rightMax, p)
 	}
 }
 
@@ -234,19 +241,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		for _, p := range drain(g, 13) {
 			got[[2]seq.StringID{p.S1, p.S2}] = true
 		}
-		want := map[[2]seq.StringID]bool{}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				ff := lcsLen(set.Str(seq.Forward(seq.ESTID(i))), set.Str(seq.Forward(seq.ESTID(j))))
-				if ff >= int32(psi) {
-					want[[2]seq.StringID{seq.Forward(seq.ESTID(i)), seq.Forward(seq.ESTID(j))}] = true
-				}
-				fr := lcsLen(set.Str(seq.Forward(seq.ESTID(i))), set.Str(seq.Reverse(seq.ESTID(j))))
-				if fr >= int32(psi) {
-					want[[2]seq.StringID{seq.Forward(seq.ESTID(i)), seq.Reverse(seq.ESTID(j))}] = true
-				}
-			}
-		}
+		want := bruteForcePairs(set, psi)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d distinct pairs want %d\n got: %v\nwant: %v",
 				trial, len(got), len(want), got, want)
@@ -257,6 +252,24 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bruteForcePairs returns every canonical string pair whose longest common
+// substring is at least psi long.
+func bruteForcePairs(set *seq.SetS, psi int) map[[2]seq.StringID]bool {
+	want := map[[2]seq.StringID]bool{}
+	n := set.NumESTs()
+	for i := 0; i < n; i++ {
+		fi := seq.Forward(seq.ESTID(i))
+		for j := i + 1; j < n; j++ {
+			for _, sj := range []seq.StringID{seq.Forward(seq.ESTID(j)), seq.Reverse(seq.ESTID(j))} {
+				if lcsLen(set.Str(fi), set.Str(sj)) >= int32(psi) {
+					want[[2]seq.StringID{fi, sj}] = true
+				}
+			}
+		}
+	}
+	return want
 }
 
 // Pairs must come out in non-increasing order of maximal common substring
@@ -403,30 +416,6 @@ func TestEntriesLinear(t *testing.T) {
 	}
 	if g.Stats().Entries != leaves {
 		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, leaves)
-	}
-}
-
-func BenchmarkGenerate(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	base := randomESTs(rng, 1, 2000, 2000)[0]
-	ests := make([]seq.Sequence, 60)
-	for i := range ests {
-		start := rng.Intn(1400)
-		ests[i] = base[start : start+500].Clone()
-	}
-	set, err := seq.NewSetS(ests)
-	if err != nil {
-		b.Fatal(err)
-	}
-	forest := buildForest(b, set, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := New(set, forest, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		drain(g, 64)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/simulate"
 )
 
 // mustSeq parses one sequence or fails the test.
@@ -370,19 +371,36 @@ func TestNumBuckets(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildForest builds the forest of the end-to-end benchmark's
+// oneshot input: 600 simulated ESTs (simulator defaults, seed 3) at w=8.
 func BenchmarkBuildForest(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	set := randomSet(b, rng, 200, 400, 700)
+	cfg := simulate.DefaultConfig(600)
+	cfg.Seed = 3
+	bm, err := simulate.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := seq.NewSetS(bm.ESTs)
+	if err != nil {
+		b.Fatal(err)
+	}
 	w := 8
-	owner := Assign(Histogram(set, w, 0, seq.StringID(set.NumStrings())), 1)
-	m := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
+	hi := seq.StringID(set.NumStrings())
+	m := CollectOwned(set, w, Assign(Histogram(set, w, 0, hi), 1), 0, 0, hi)
 	b.ReportAllocs()
 	b.ResetTimer()
+	nodes := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildForest(set, m, w); err != nil {
+		forest, err := BuildForest(set, m, w)
+		if err != nil {
 			b.Fatal(err)
 		}
+		nodes = 0
+		for _, t := range forest {
+			nodes += t.Len()
+		}
 	}
+	b.ReportMetric(float64(nodes), "nodes/op")
 }
 
 func TestBuildEmptyBucketSentinel(t *testing.T) {

@@ -91,21 +91,25 @@ func (t *Tree) countLeaves() int {
 	return c
 }
 
-// builder constructs one bucket subtree.
-type builder struct {
-	set   *seq.SetS
-	nodes []Node
+// Builder constructs bucket subtrees. It owns the scratch the construction
+// permutes — a copy of the bucket's suffix list, the partition target, each
+// suffix's branch class and the node array under construction — and reuses
+// it across buckets, so building a forest allocates only the trees it
+// returns. A Builder is not safe for concurrent use.
+type Builder struct {
+	set     *seq.SetS
+	refs    []SuffixRef // the bucket's suffixes, partitioned in place
+	scratch []SuffixRef // stable-partition target
+	class   []uint8     // branch class of refs[i] at the current node
+	nodes   []Node      // the tree under construction
 }
+
+// NewBuilder returns a Builder over set.
+func NewBuilder(set *seq.SetS) *Builder { return &Builder{set: set} }
 
 // suffixLen returns the length of the suffix ref.
-func (b *builder) suffixLen(r SuffixRef) int32 {
+func (b *Builder) suffixLen(r SuffixRef) int32 {
 	return int32(len(b.set.Str(r.SID))) - r.Pos
-}
-
-// charAt returns the suffix's character at string-depth d; the caller
-// guarantees d < suffixLen.
-func (b *builder) charAt(r SuffixRef, d int32) seq.Code {
-	return b.set.Str(r.SID)[r.Pos+d]
 }
 
 // Build constructs the subtree for a bucket's suffixes, which all share
@@ -117,87 +121,126 @@ func (b *builder) charAt(r SuffixRef, d int32) seq.Code {
 // id); incremental rebuilds legitimately produce such buckets when every
 // cached suffix of a bucket belongs to strings that no longer map to it, and
 // callers are expected to skip them explicitly rather than fail.
+// Build permutes a private copy of suffixes; the caller's slice is left as
+// it was.
 func Build(set *seq.SetS, bucket int, suffixes []SuffixRef, w int) (*Tree, error) {
+	return NewBuilder(set).Build(bucket, suffixes, w)
+}
+
+// Build is the package-level Build on the Builder's reused scratch.
+func (b *Builder) Build(bucket int, suffixes []SuffixRef, w int) (*Tree, error) {
 	if len(suffixes) == 0 {
 		return nil, fmt.Errorf("suffix: bucket %d: %w", bucket, ErrEmptyBucket)
 	}
-	b := &builder{set: set, nodes: make([]Node, 0, 2*len(suffixes))}
 	for _, r := range suffixes {
 		if b.suffixLen(r) < int32(w) {
 			return nil, fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, w)
 		}
 	}
-	b.build(suffixes, int32(w))
-	return &Tree{Bucket: bucket, Nodes: b.nodes, leaves: len(suffixes)}, nil
+	n := len(suffixes)
+	if cap(b.refs) < n {
+		b.refs = make([]SuffixRef, n)
+		b.scratch = make([]SuffixRef, n)
+		b.class = make([]uint8, n)
+	}
+	b.refs = b.refs[:n]
+	copy(b.refs, suffixes)
+	b.nodes = b.nodes[:0]
+	b.build(0, int32(n), int32(w))
+	nodes := make([]Node, len(b.nodes))
+	copy(nodes, b.nodes)
+	return &Tree{Bucket: bucket, Nodes: nodes, leaves: n}, nil
 }
 
 // emitLeaf appends a leaf for suffix r (depth = full suffix length).
-func (b *builder) emitLeaf(r SuffixRef) {
+func (b *Builder) emitLeaf(r SuffixRef) {
 	i := int32(len(b.nodes))
 	b.nodes = append(b.nodes, Node{Depth: b.suffixLen(r), RML: i, SID: r.SID, Pos: r.Pos})
 }
 
-// build adds the subtree for a group of suffixes sharing their first `depth`
-// characters. Conceptually every suffix ends with a unique terminator, so
-// identical suffixes from different strings split at an internal node whose
-// leaf children they become.
-func (b *builder) build(group []SuffixRef, depth int32) {
+// build adds the subtree for the suffixes refs[lo:hi], which share their
+// first `depth` characters. Conceptually every suffix ends with a unique
+// terminator, so identical suffixes from different strings split at an
+// internal node whose leaf children they become. Children come out in a
+// fixed order: terminator leaves first, in input order, then the subtrees
+// for A, C, G and T.
+func (b *Builder) build(lo, hi, depth int32) {
+	group := b.refs[lo:hi]
 	if len(group) == 1 {
 		b.emitLeaf(group[0])
 		return
 	}
-	// Path compression: extend the shared prefix while no suffix ends and
-	// all continue with the same character.
-	for {
-		if b.suffixLen(group[0]) == depth {
+	// Path compression: the node sits at the longest prefix every suffix
+	// of the group shares, found one suffix at a time against the first.
+	first := b.set.Suffix(group[0].SID, group[0].Pos)
+	end := int32(len(first))
+	for _, r := range group[1:] {
+		s := b.set.Suffix(r.SID, r.Pos)
+		lim := min(end, int32(len(s)))
+		d := depth
+		for d < lim && s[d] == first[d] {
+			d++
+		}
+		if end = d; end == depth {
 			break
 		}
-		c := b.charAt(group[0], depth)
-		same := true
-		for _, r := range group[1:] {
-			if b.suffixLen(r) == depth || b.charAt(r, depth) != c {
-				same = false
-				break
-			}
-		}
-		if !same {
-			break
-		}
-		depth++
 	}
-	// Internal node at this depth; partition the group into suffixes that
-	// end here (terminator children) and per-character subgroups.
+	depth = end
+	// Internal node at this depth; partition the group stably into suffixes
+	// that end here (class 0, terminator children) and per-character
+	// subgroups (class 1+c), through the scratch buffer.
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, Node{Depth: depth, SID: group[0].SID, Pos: group[0].Pos})
 
-	var classes [seq.AlphabetSize][]SuffixRef
-	for _, r := range group {
-		if b.suffixLen(r) == depth {
-			b.emitLeaf(r) // terminator edge: leaf at the same string-depth
-			continue
+	class := b.class[lo:hi]
+	var start [seq.AlphabetSize + 1]int32
+	for i, r := range group {
+		k := uint8(0)
+		if s := b.set.Suffix(r.SID, r.Pos); int32(len(s)) != depth {
+			k = 1 + uint8(s[depth])
 		}
-		c := b.charAt(r, depth)
-		classes[c] = append(classes[c], r)
+		class[i] = k
+		start[k]++
 	}
-	for c := 0; c < seq.AlphabetSize; c++ {
-		if len(classes[c]) > 0 {
-			b.build(classes[c], depth+1)
+	acc := int32(0)
+	for k, c := range start {
+		start[k] = acc
+		acc += c
+	}
+	scratch := b.scratch[:len(group)]
+	for i, r := range group {
+		k := class[i]
+		scratch[start[k]] = r
+		start[k]++
+	}
+	copy(group, scratch)
+
+	// start[k] is now the end of class k within the group.
+	for _, r := range group[:start[0]] {
+		b.emitLeaf(r) // terminator edge: leaf at the same string-depth
+	}
+	for k := 1; k <= seq.AlphabetSize; k++ {
+		if start[k] > start[k-1] {
+			b.build(lo+start[k-1], lo+start[k], depth+1)
 		}
 	}
 	b.nodes[self].RML = int32(len(b.nodes)) - 1
 }
 
 // BuildForest builds the subtree of every bucket in the map, in ascending
-// bucket order. Buckets whose suffix list is empty are skipped: incremental
-// rebuilds can leave such entries behind, and they carry no subtree.
+// bucket order, on one Builder. Buckets whose suffix list is empty are
+// skipped: incremental rebuilds can leave such entries behind, and they
+// carry no subtree.
 func BuildForest(set *seq.SetS, byBucket map[int][]SuffixRef, w int) ([]*Tree, error) {
 	ids := SortedBucketIDs(byBucket)
 	forest := make([]*Tree, 0, len(ids))
+	b := NewBuilder(set)
 	for _, id := range ids {
-		if len(byBucket[id]) == 0 {
+		refs := byBucket[id]
+		if len(refs) == 0 {
 			continue
 		}
-		t, err := Build(set, id, byBucket[id], w)
+		t, err := b.Build(id, refs, w)
 		if err != nil {
 			return nil, err
 		}

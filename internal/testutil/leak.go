@@ -1,5 +1,8 @@
-// Package testutil holds shared helpers for the repo's tests. Its resident
-// is the goroutine-leak guard: serving and transport tests spin up real
+// Package testutil holds shared helpers for the repo's tests: the
+// goroutine-leak guard, and DecodeESTs, which turns fuzz inputs into EST
+// sets for the suffix-tree and pair-generation oracles.
+//
+// The leak guard exists because serving and transport tests spin up real
 // goroutines (HTTP servers, admission queues, sim ranks), and a test that
 // passes while leaving one behind has really failed — the leak either holds
 // resources across the rest of the package's tests or hides a missing
